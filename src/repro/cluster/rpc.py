@@ -75,6 +75,15 @@ _REPLY_TIMEOUT = 600.0
 MAX_BACKOFF = 1.0
 
 
+def set_nodelay(sock: socket.socket) -> None:
+    """Disable Nagle's algorithm on ``sock`` (ignored on non-TCP sockets):
+    a reply sent in several writes must not wait ~40 ms for a delayed ACK."""
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass
+
+
 def backoff_delay(attempt: int, base: float, cap: float = MAX_BACKOFF) -> float:
     """Full-jitter delay before retry ``attempt`` (1-based).
 
@@ -146,13 +155,7 @@ class _RpcConnection(socketserver.BaseRequestHandler):
         server: "RpcServer" = self.server  # type: ignore[assignment]
         sock = self.request
         sock.settimeout(_REPLY_TIMEOUT)
-        try:
-            # Replies are sequences of small frames (chunk, chunk, eos);
-            # with Nagle on, every frame after the first waits for the
-            # client's delayed ACK — a flat ~40ms per response.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
+        set_nodelay(sock)
         server.track_connection(sock)
         try:
             while not server.stopping:
@@ -303,7 +306,7 @@ class RpcClient:
         sock = socket.create_connection((self.host, self.port),
                                         timeout=_CONNECT_TIMEOUT)
         sock.settimeout(_REPLY_TIMEOUT)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        set_nodelay(sock)
         return sock
 
     def close(self) -> None:

@@ -51,6 +51,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro.cluster.rpc import set_nodelay
 from repro.errors import (
     DictionaryError,
     ParseError,
@@ -331,6 +332,7 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
             # Bounds an idle keep-alive read so a draining worker's
             # server_close() cannot block forever on a silent client.
             self.timeout = timeout
+        set_nodelay(self.request)  # headers and body are two sends
         super().setup()
 
     def log_request(self, code="-", size="-") -> None:

@@ -6,7 +6,12 @@ them is paid once; tests must therefore treat them as read-only.
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
+import statistics
+import time
+import urllib.parse
 
 import pytest
 
@@ -89,3 +94,36 @@ def dbpedia_like_store() -> TripleStore:
 def watdiv_dataset():
     """A small WatDiv-like dataset with numeric literals for range queries."""
     return generate_watdiv(scale=120, seed=9)
+
+
+def _assert_keepalive_fast(url: str) -> None:
+    """Send 50 sequential ``POST /query`` lookups over one
+    keep-alive connection and assert the median round trip is under 20 ms.
+
+    20 ms is half the 40 ms minimum delayed ACK: a server whose response
+    waits on Nagle's algorithm for the client's ACK cannot get under it.
+    """
+    address = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(address.hostname, address.port,
+                                            timeout=10)
+    body = json.dumps({"pattern": [0, None, None]})
+    timings = []
+    try:
+        for _ in range(50):
+            started = time.perf_counter()
+            connection.request("POST", "/query", body,
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            payload = response.read()
+            timings.append(time.perf_counter() - started)
+            assert response.status == 200, payload
+    finally:
+        connection.close()
+    median_ms = statistics.median(timings) * 1000
+    assert median_ms < 20, f"keep-alive median {median_ms:.1f} ms per request"
+
+
+@pytest.fixture(scope="session")
+def assert_keepalive_fast():
+    """The keep-alive latency check shared by every deployment shape."""
+    return _assert_keepalive_fast

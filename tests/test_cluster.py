@@ -891,6 +891,11 @@ class TestCoordinatorHttp:
             text = response.read().decode()
         assert "repro_index_triples" in text
 
+    def test_keepalive_lookups_do_not_stall(self, http_cluster,
+                                            assert_keepalive_fast):
+        _, base = http_cluster
+        assert_keepalive_fast(base)
+
     def test_dead_shard_maps_to_503(self, source_container,
                                     tmp_path_factory):
         directory = tmp_path_factory.mktemp("http-503")

@@ -404,6 +404,10 @@ class TestPoolServing:
                 assert status == 200
                 assert body["triples"] == expected
 
+    def test_keepalive_lookups_do_not_stall(self, pool,
+                                            assert_keepalive_fast):
+        assert_keepalive_fast(pool["url"])
+
     def test_update_gives_read_your_writes_everywhere(self, pool):
         status, body, _ = _post_json(pool["url"], "/update",
                                      {"insert": [[500, 7, 501]]})

@@ -345,6 +345,12 @@ class TestConcurrentClients:
         assert set(results) == {(200, 5)}
 
 
+class TestKeepAlive:
+    def test_sequential_lookups_do_not_stall(self, base_url,
+                                             assert_keepalive_fast):
+        assert_keepalive_fast(base_url)
+
+
 class TestBodySizeLimit:
     def test_oversized_body_rejected_with_413(self, base_url):
         import urllib.error
