@@ -9,11 +9,24 @@ them uniformly (as the paper's evaluation does).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.patterns import TriplePattern
 
 PatternLike = Union[TriplePattern, Sequence[Optional[int]]]
+
+
+def page_of(matches: Iterable[Tuple[int, int, int]], offset: int,
+            limit: Optional[int]) -> Tuple[List[Tuple[int, int, int]], bool]:
+    """The page ``[offset, offset + limit)`` of a match stream, and whether
+    any match follows it (``limit=None`` reads to the end)."""
+    stop = None if limit is None else offset + limit + 1
+    triples = list(islice(matches, offset, stop))
+    if limit is None:
+        return triples, False
+    return triples[:limit], len(triples) > limit
 
 
 class TripleIndex(ABC):
@@ -53,6 +66,18 @@ class TripleIndex(ABC):
         for _ in self.select(TriplePattern(s, p, o)):
             return True
         return False
+
+    def select_page(self, pattern: PatternLike, offset: int = 0,
+                    limit: Optional[int] = None
+                    ) -> Tuple[List[Tuple[int, int, int]], bool]:
+        """One page of :meth:`select`: the matches at positions
+        ``[offset, offset + limit)`` in ``select`` order, and whether any
+        match follows the page (always ``False`` when ``limit`` is ``None``).
+
+        The default enumerates past the offset; the trie families override
+        it to seek to the page by position (see ``PermutationTrie.triples_at``).
+        """
+        return page_of(self.select(pattern), offset, limit)
 
     def select_list(self, pattern: PatternLike) -> List[Tuple[int, int, int]]:
         """Materialise the matches of ``pattern`` as a sorted list."""

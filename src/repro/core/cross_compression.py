@@ -23,12 +23,12 @@ with the Compact codec, exactly as the paper recommends.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import PatternLike
-from repro.core.index_3t import PermutedTrieIndex
+from repro.core.index_3t import PermutedTrieIndex, prefix_page
 from repro.core.patterns import PatternKind, TriplePattern
 from repro.core.permutations import PERMUTATIONS
 from repro.core.trie import (
@@ -105,6 +105,19 @@ class CrossCompressedIndex(PermutedTrieIndex):
             yield from self._select_on_pos_unmapping(pattern)
         else:
             yield from super().select(pattern)
+
+    def _page_on(self, trie_name: str, pattern: TriplePattern, offset: int,
+                 limit: Optional[int]
+                 ) -> Tuple[List[Tuple[int, int, int]], bool]:
+        """POS pages unmap their ranks in the same vectorised pass: the
+        subject of ``(p, o, rank)`` is OSP level 1 at ``osp.ptr0[o] + rank``."""
+        if trie_name != "pos":
+            return super()._page_on(trie_name, pattern, offset, limit)
+        (predicates, objects, ranks), has_more = prefix_page(
+            self._tries["pos"], pattern, offset, limit)
+        subjects = self._tries["osp"].children_at(objects, ranks)
+        return (PERMUTATIONS["pos"].invert_columns(
+            (predicates, objects, subjects)), has_more)
 
     # ------------------------------------------------------------------ #
     # Seekable successor cursors: POS stores ranks in its third level, so the

@@ -19,17 +19,22 @@ more, and the final pattern falls back to the ``inverted`` algorithm:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.base import PatternLike, TripleIndex
+from repro.core.base import PatternLike, TripleIndex, page_of
 from repro.core.index_3t import (build_trie_cursor, plan_trie_cursor,
-                                 trie_value_block)
+                                 prefix_page, trie_value_block)
 from repro.core.pairs import PairStructure
 from repro.core.patterns import PatternKind, TriplePattern
 from repro.core.permutations import PERMUTATIONS
-from repro.core.trie import PermutationTrie
+from repro.core.trie import PermutationTrie, page_positions
 from repro.errors import IndexBuildError, PatternError
 from repro.rdf.triples import OBJECT, PREDICATE, SUBJECT
+
+
+#: Pattern kinds both variants answer on SPO.
+_SPO_KINDS = (PatternKind.SPO, PatternKind.SP, PatternKind.S,
+              PatternKind.ALL_WILDCARDS)
 
 
 class TwoTrieIndex(TripleIndex):
@@ -92,8 +97,7 @@ class TwoTrieIndex(TripleIndex):
     def select(self, pattern: PatternLike) -> Iterator[Tuple[int, int, int]]:
         pattern = TriplePattern.from_tuple(pattern)
         kind = pattern.kind
-        if kind in (PatternKind.SPO, PatternKind.SP, PatternKind.S,
-                    PatternKind.ALL_WILDCARDS):
+        if kind in _SPO_KINDS:
             yield from self._select_on("spo", pattern)
         elif kind is PatternKind.SO:
             yield from self._enumerate(pattern)
@@ -111,6 +115,39 @@ class TwoTrieIndex(TripleIndex):
                 yield from self._inverted_predicate(pattern.predicate)
             else:  # pragma: no cover - all kinds are handled above
                 raise PatternError(f"unhandled pattern kind {kind}")
+
+    def select_page(self, pattern: PatternLike, offset: int = 0,
+                    limit: Optional[int] = None
+                    ) -> Tuple[List[Tuple[int, int, int]], bool]:
+        """Prefix shapes and 2Tp's ``??O`` seek to the page by position;
+        ``SPO`` (at most one match), ``S?O`` and 2To's ``?P?`` enumerate
+        past the offset."""
+        pattern = TriplePattern.from_tuple(pattern)
+        kind = pattern.kind
+        if kind is PatternKind.SPO:
+            return page_of(self._select_on("spo", pattern), offset, limit)
+        if kind is PatternKind.SO:
+            return page_of(self._enumerate(pattern), offset, limit)
+        if kind is PatternKind.O and self._variant == "p":
+            return self._inverted_object_page(pattern.object, offset, limit)
+        if kind is PatternKind.P and self._variant == "o":
+            return page_of(self._inverted_predicate(pattern.predicate),
+                           offset, limit)
+        trie = self._spo if kind in _SPO_KINDS else self._second
+        columns, has_more = prefix_page(trie, pattern, offset, limit)
+        return (PERMUTATIONS[trie.permutation_name].invert_columns(columns),
+                has_more)
+
+    def _inverted_object_page(self, object_id: int, offset: int,
+                              limit: Optional[int]
+                              ) -> Tuple[List[Tuple[int, int, int]], bool]:
+        """One page of 2Tp's ``??O``: probe every predicate for the object
+        at once, then read the page across the matching POS ranges."""
+        trie = self._second
+        begins, ends = trie.second_ranges(object_id)
+        positions, has_more = page_positions(begins, ends, offset, limit)
+        return (PERMUTATIONS["pos"].invert_columns(trie.triples_at(positions)),
+                has_more)
 
     def _select_on(self, trie_name: str, pattern: TriplePattern
                    ) -> Iterator[Tuple[int, int, int]]:

@@ -20,14 +20,14 @@ pattern   trie       permuted shape
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import PatternLike, TripleIndex
+from repro.core.base import PatternLike, TripleIndex, page_of
 from repro.core.patterns import PatternKind, TriplePattern
 from repro.core.permutations import PERMUTATIONS
-from repro.core.trie import PermutationTrie
+from repro.core.trie import PermutationTrie, page_window
 from repro.errors import PatternError
 
 #: Cursor-plan score: ``(exact, constants enforced, plain level)`` — higher is
@@ -104,6 +104,29 @@ def trie_value_block(trie: PermutationTrie,
     return trie.pair_children_block(position)
 
 
+def prefix_page(trie: PermutationTrie, pattern: TriplePattern, offset: int,
+                limit: Optional[int]
+                ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], bool]:
+    """One page of a prefix pattern on ``trie`` as permuted columns.
+
+    The pattern's matches are the level-2 range of its permuted prefix, so
+    the page is the slice ``[offset, offset + limit)`` of that range,
+    rebuilt without touching the matches before it.  Under a two-component
+    prefix the slice is one sibling range: only its third values vary.
+    The third permuted component must be a wildcard.
+    """
+    first, second, _third = PERMUTATIONS[trie.permutation_name].apply_pattern(
+        pattern)
+    begin, end = trie.prefix_range(first, second)
+    lo, hi, has_more = page_window(end - begin, offset, limit)
+    if second is None or hi == lo:
+        return trie.triples_at(np.arange(begin + lo, begin + hi)), has_more
+    thirds = trie.nodes_level2.decode_block_in_range(begin, begin + hi,
+                                                     start=begin + lo)
+    return ((np.full(thirds.size, first), np.full(thirds.size, second),
+             thirds), has_more)
+
+
 class PermutedTrieIndex(TripleIndex):
     """3T: SPO + POS + OSP permuted tries behind a single pattern interface."""
 
@@ -153,6 +176,25 @@ class PermutedTrieIndex(TripleIndex):
         pattern = TriplePattern.from_tuple(pattern)
         trie_name = self.DISPATCH[pattern.kind]
         yield from self._select_on(trie_name, pattern)
+
+    def select_page(self, pattern: PatternLike, offset: int = 0,
+                    limit: Optional[int] = None
+                    ) -> Tuple[List[Tuple[int, int, int]], bool]:
+        """Every shape but the fully bound one is a prefix of the trie it
+        dispatches to; a fully bound pattern has at most one match."""
+        pattern = TriplePattern.from_tuple(pattern)
+        kind = pattern.kind
+        if kind is PatternKind.SPO:
+            return page_of(self._select_on("spo", pattern), offset, limit)
+        return self._page_on(self.DISPATCH[kind], pattern, offset, limit)
+
+    def _page_on(self, trie_name: str, pattern: TriplePattern, offset: int,
+                 limit: Optional[int]
+                 ) -> Tuple[List[Tuple[int, int, int]], bool]:
+        """One page of ``pattern`` on one trie, un-permuted."""
+        columns, has_more = prefix_page(self._tries[trie_name], pattern,
+                                        offset, limit)
+        return PERMUTATIONS[trie_name].invert_columns(columns), has_more
 
     def _select_on(self, trie_name: str, pattern: TriplePattern
                    ) -> Iterator[Tuple[int, int, int]]:

@@ -9,7 +9,9 @@ vertical partitioning, all six for RDF-3X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.patterns import TriplePattern
 from repro.errors import IndexBuildError
@@ -36,6 +38,12 @@ class Permutation:
         for position, role in enumerate(self.order):
             canonical[role] = permuted[position]
         return tuple(canonical)
+
+    def invert_columns(self, columns: Sequence[np.ndarray]
+                       ) -> List[Tuple[int, int, int]]:
+        """:meth:`invert` every permuted triple given as three columns."""
+        return list(zip(*(columns[self.order.index(role)].tolist()
+                          for role in (0, 1, 2))))
 
     def apply_pattern(self, pattern: TriplePattern
                       ) -> Tuple[Optional[int], Optional[int], Optional[int]]:

@@ -20,6 +20,11 @@ Three algorithms operate on this layout:
   SPO trie (first and third bound, second free);
 * full scans for the ``???`` pattern.
 
+A prefix's matches are one contiguous level-2 range, so a page of them is
+answered by position (:meth:`PermutationTrie.prefix_range`,
+:func:`page_window`, :meth:`PermutationTrie.triples_at`) without
+enumerating the matches before it.
+
 On top of those, the module provides *seekable cursors* — sorted streams of
 sibling values supporting ``seek(value)`` (jump to the first element >= value)
 backed by the Elias-Fano ``next_geq`` machinery.  They are the successor-list
@@ -269,6 +274,31 @@ class FilteredChildrenCursor:
         self._settle()
 
 
+def page_window(total: int, offset: int, limit: Optional[int]
+                ) -> Tuple[int, int, bool]:
+    """Rows ``[start, stop)`` of a ``total``-row result that make the page
+    at ``offset`` (``limit=None`` reads to the end), and whether rows
+    follow it."""
+    start = min(offset, total)
+    stop = total if limit is None else min(total, start + limit)
+    return start, stop, stop < total
+
+
+def page_positions(begins: np.ndarray, ends: np.ndarray, offset: int,
+                   limit: Optional[int]) -> Tuple[np.ndarray, bool]:
+    """Positions of the page at ``offset`` over the ranges
+    ``[begins[k], ends[k])`` read one after the other, and whether rows
+    follow it."""
+    lengths = ends - begins
+    stops = np.cumsum(lengths)
+    start, stop, has_more = page_window(int(stops[-1]) if stops.size else 0,
+                                        offset, limit)
+    rows = np.arange(start, stop, dtype=np.int64)
+    ranges = np.searchsorted(stops, rows, side="right")
+    positions = begins[ranges] + (rows - (stops[ranges] - lengths[ranges]))
+    return positions, has_more
+
+
 @dataclass(frozen=True)
 class TrieConfig:
     """Codec selection for the levels of one trie.
@@ -402,6 +432,20 @@ class PermutationTrie:
         """Number of third-level nodes, i.e. triples."""
         return self._num_triples
 
+    def _pointers0_mirror(self) -> np.ndarray:
+        """The level-0 pointers as a plain array (decoded once)."""
+        if self._ptr0_decoded is None:
+            self._ptr0_decoded = self._pointers0.decode_block(
+                0, len(self._pointers0))
+        return self._ptr0_decoded
+
+    def _pointers1_mirror(self) -> np.ndarray:
+        """The level-1 pointers as a plain array (decoded once)."""
+        if self._ptr1_decoded is None:
+            self._ptr1_decoded = self._pointers1.decode_block(
+                0, len(self._pointers1))
+        return self._ptr1_decoded
+
     def children_range(self, first_id: int) -> Tuple[int, int]:
         """Range ``[begin, end)`` of first_id's children in the level-1 sequence."""
         if not 0 <= first_id < self._num_first:
@@ -412,8 +456,7 @@ class PermutationTrie:
             if self._ptr_ops < self.ADAPTIVE_DECODE_THRESHOLD:
                 return (self._pointers0.access(first_id),
                         self._pointers0.access(first_id + 1))
-            ptr = self._ptr0_decoded = self._pointers0.decode_block(
-                0, len(self._pointers0))
+            ptr = self._pointers0_mirror()
         return (int(ptr[first_id]), int(ptr[first_id + 1]))
 
     def pair_children_range(self, pair_position: int) -> Tuple[int, int]:
@@ -424,8 +467,7 @@ class PermutationTrie:
             if self._ptr_ops < self.ADAPTIVE_DECODE_THRESHOLD:
                 return (self._pointers1.access(pair_position),
                         self._pointers1.access(pair_position + 1))
-            ptr = self._ptr1_decoded = self._pointers1.decode_block(
-                0, len(self._pointers1))
+            ptr = self._pointers1_mirror()
         return (int(ptr[pair_position]), int(ptr[pair_position + 1]))
 
     def second_at(self, begin: int, end: int, position: int) -> int:
@@ -522,6 +564,68 @@ class PermutationTrie:
                 block = self._nodes2.decode_block_in_range(child_begin, child_end)
                 for third_value in block.tolist():
                     yield (first, second_value, third_value)
+
+    # ------------------------------------------------------------------ #
+    # Paging by position: a prefix's matches are one level-2 range.
+    # ------------------------------------------------------------------ #
+
+    def prefix_range(self, first: Optional[int],
+                     second: Optional[int]) -> Tuple[int, int]:
+        """Level-2 range ``[begin, end)`` of the triples under the permuted
+        prefix ``first`` (or ``(first, second)``), in :meth:`select` order.
+
+        No prefix gives the whole level; an absent prefix gives ``(0, 0)``.
+        """
+        if first is None:
+            return 0, self._num_triples
+        begin, end = self.children_range(first)
+        if begin == end:
+            return 0, 0
+        if second is None:
+            return (self.pair_children_range(begin)[0],
+                    self.pair_children_range(end - 1)[1])
+        position = self._nodes1.find_in_range(begin, end, second)
+        if position == NOT_FOUND:
+            return 0, 0
+        return self.pair_children_range(position)
+
+    def second_ranges(self, second: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Level-2 ranges ``[begins[k], ends[k])`` of every pair
+        ``(first, second)`` present, in ``first`` order.
+
+        The batched :meth:`find_child` over every first-level node: one
+        :meth:`RangedSequence.find_in_ranges` call on level 1.
+        """
+        ptr0 = self._pointers0_mirror()
+        found = self._nodes1.find_in_ranges(ptr0[:-1], ptr0[1:], second)
+        pairs = found[found != NOT_FOUND]
+        ptr1 = self._pointers1_mirror()
+        return ptr1[pairs], ptr1[pairs + 1]
+
+    def triples_at(self, positions: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The permuted triples at level-2 ``positions`` (ascending) as
+        three int64 columns, rebuilt in one vectorised pass.
+
+        Parents come from ``searchsorted`` on the pointer mirrors, values
+        from the levels' :meth:`RangedSequence.values_at` gathers.
+        """
+        if positions.size == 0:
+            return positions, positions, positions
+        ptr0 = self._pointers0_mirror()
+        ptr1 = self._pointers1_mirror()
+        pairs = ptr1.searchsorted(positions, side="right") - 1
+        firsts = ptr0.searchsorted(pairs, side="right") - 1
+        return (firsts, self._nodes1.values_at(pairs, ptr0[firsts]),
+                self._nodes2.values_at(positions, ptr1[pairs]))
+
+    def children_at(self, firsts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`child_by_rank`: the ``ranks[k]``-th level-1
+        child of ``firsts[k]`` (the paper's unmap)."""
+        if firsts.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        begins = self._pointers0_mirror()[firsts]
+        return self._nodes1.values_at(begins + ranks, begins)
 
     # ------------------------------------------------------------------ #
     # enumerate — Fig. 5 of the paper (first and third bound, second free).

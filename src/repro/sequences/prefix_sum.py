@@ -132,6 +132,26 @@ class RangedSequence:
         """
         return self._directory()[(begin if start is None else start):end]
 
+    def values_at(self, positions: np.ndarray,
+                  range_begins: np.ndarray) -> np.ndarray:
+        """Batch :meth:`access_in_range`: the values at absolute
+        ``positions``, each inside the sibling range that starts at the
+        matching entry of ``range_begins``, in one gather on the mirror."""
+        return self._directory()[positions]
+
+    def find_in_ranges(self, begins: np.ndarray, ends: np.ndarray,
+                       value: int) -> np.ndarray:
+        """Batch :meth:`find_in_range`: the absolute position of ``value``
+        in every sibling range ``[begins[k], ends[k])``, or -1 where absent.
+
+        Stored values are not monotone across ranges here, so each range
+        is searched on its own.
+        """
+        return np.fromiter(
+            (self.find_in_range(begin, end, value)
+             for begin, end in zip(begins.tolist(), ends.tolist())),
+            dtype=np.int64, count=len(begins))
+
     def size_in_bits(self) -> int:
         """Space of the underlying representation."""
         return self._sequence.size_in_bits()
@@ -250,3 +270,40 @@ class PrefixSummedSequence(RangedSequence):
         if end <= start:
             return np.zeros(0, dtype=np.int64)
         return self._directory()[start:end] - self._base(begin)
+
+    def _bases(self, range_begins: np.ndarray) -> np.ndarray:
+        """Prefix-sum base of every sibling range starting at ``range_begins``."""
+        bases = self._directory()[range_begins - 1]
+        if not range_begins.all():
+            bases[range_begins == 0] = 0
+        return bases
+
+    def values_at(self, positions: np.ndarray,
+                  range_begins: np.ndarray) -> np.ndarray:
+        values = self._directory()[positions]
+        values -= self._bases(range_begins)
+        return values
+
+    def find_in_ranges(self, begins: np.ndarray, ends: np.ndarray,
+                       value: int) -> np.ndarray:
+        """One ``searchsorted`` over the whole monotone level: range ``k``
+        looks for ``value + base_k``.
+
+        A ``value`` above the level's last stored element is absent from
+        every range; ranges whose base would push the target past that
+        element are skipped before adding, so no sum leaves ``int64``.
+        """
+        found = np.full(len(begins), NOT_FOUND, dtype=np.int64)
+        decoded = self._directory()
+        if decoded.size == 0 or not 0 <= value <= int(decoded[-1]):
+            return found
+        bases = self._bases(begins)
+        candidates = np.flatnonzero(bases <= int(decoded[-1]) - value)
+        targets = bases[candidates] + value
+        positions = np.maximum(np.searchsorted(decoded, targets),
+                               begins[candidates])
+        inside = positions < ends[candidates]
+        hits = np.zeros(candidates.size, dtype=bool)
+        hits[inside] = decoded[positions[inside]] == targets[inside]
+        found[candidates[hits]] = positions[hits]
+        return found

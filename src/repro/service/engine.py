@@ -62,6 +62,7 @@ from repro.queries.wcoj import (
 )
 from repro.queries.sparql import SparqlQuery, parse_sparql
 from repro.service.cache import LRUCache, normalize_bgp
+from repro.service.metrics import resident_memory_bytes
 
 #: What :meth:`QueryService.execute` accepts: SPARQL text or a parsed query.
 QueryLike = Union[str, SparqlQuery]
@@ -694,18 +695,8 @@ class QueryService:
                 return PatternResult(triples=list(triples), cached=True,
                                      elapsed_seconds=elapsed, limit=limit,
                                      offset=offset, has_more=has_more)
-        triples: List[Tuple[int, int, int]] = []
-        has_more: Optional[bool] = None
-        fetch = None if limit is None else offset + limit + 1
-        for position, triple in enumerate(index.select(tuple(pattern))):
-            if position < offset:
-                continue
-            triples.append(triple)
-            if fetch is not None and position + 1 >= fetch:
-                break
-        if limit is not None:
-            has_more = len(triples) > limit
-            triples = triples[:limit]
+        triples, more = index.select_page(tuple(pattern), offset, limit)
+        has_more = None if limit is None else more
         if use_cache:
             self._result_cache.put(key, (list(triples), has_more))
         elapsed = time.monotonic() - started
@@ -858,4 +849,7 @@ class QueryService:
         if delta_statistics is not None:
             report["updates"].update(delta_statistics())
             report["updates"]["persist_error"] = self._persist_error
+        rss = resident_memory_bytes()
+        if rss is not None:
+            report["process"] = {"rss_bytes": rss}
         return report

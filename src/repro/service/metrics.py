@@ -20,6 +20,7 @@ worker slot — the /metrics endpoint behaves identically with and without
 from __future__ import annotations
 
 import mmap
+import os
 import struct
 import threading
 from typing import Dict, List, Optional, Tuple
@@ -260,6 +261,21 @@ def render_prometheus(block: Optional[MetricsBlock],
     return "\n".join(out) + "\n"
 
 
+#: Where :func:`resident_memory_bytes` reads this process's page counts.
+STATM_PATH = "/proc/self/statm"
+
+
+def resident_memory_bytes() -> Optional[int]:
+    """This process's resident set size from ``/proc/self/statm`` (second
+    field, in pages), or ``None`` where the file cannot be read."""
+    try:
+        with open(STATM_PATH) as statm:
+            resident_pages = int(statm.read().split()[1])
+        return resident_pages * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 def service_gauges(service) -> Dict[str, float]:
     """Point-in-time gauges for :func:`render_prometheus` from a service."""
     gauges: Dict[str, float] = {}
@@ -269,4 +285,7 @@ def service_gauges(service) -> Dict[str, float]:
         gauges["index_epoch"] = float(getattr(index, "epoch", 0))
     except Exception:  # pragma: no cover - defensive: scrape must not 500
         pass
+    rss = resident_memory_bytes()
+    if rss is not None:
+        gauges["process_resident_memory_bytes"] = float(rss)
     return gauges

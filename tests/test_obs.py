@@ -508,6 +508,20 @@ class TestHttpProfile:
         assert "repro_execute_seconds_count" in text
         assert "repro_serialize_seconds_sum" in text
 
+    def test_metrics_report_resident_memory(self, http_server, monkeypatch):
+        def gauge(text):
+            for line in text.splitlines():
+                if line.startswith("repro_process_resident_memory_bytes "):
+                    return float(line.split()[1])
+            return None
+        with urllib.request.urlopen(http_server + "/metrics") as response:
+            assert gauge(response.read().decode("utf-8")) > 0
+        # Where /proc cannot be read the gauge is left out, never a 500.
+        monkeypatch.setattr("repro.service.metrics.STATM_PATH",
+                            "/nonexistent/statm")
+        with urllib.request.urlopen(http_server + "/metrics") as response:
+            assert gauge(response.read().decode("utf-8")) is None
+
     def test_stage_histograms_count_requests(self, http_server):
         def counts(text):
             return {line.split()[0]: float(line.split()[1])

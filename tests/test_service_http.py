@@ -138,6 +138,17 @@ class TestProbes:
             assert section in body
         assert 0.0 <= body["result_cache"]["hit_rate"] <= 1.0
 
+    def test_stats_report_resident_memory(self, base_url, monkeypatch):
+        status, body = _get(base_url + "/stats")
+        assert status == 200
+        assert body["process"]["rss_bytes"] > 0
+        # Where /proc cannot be read the field is left out, never a 500.
+        monkeypatch.setattr("repro.service.metrics.STATM_PATH",
+                            "/nonexistent/statm")
+        status, body = _get(base_url + "/stats")
+        assert status == 200
+        assert "process" not in body
+
     def test_unknown_path_is_404(self, base_url):
         status, body = _get(base_url + "/nope")
         assert status == 404
@@ -186,6 +197,18 @@ class TestQueryEndpoint:
         status, decoded = _post(base_url, {"pattern": [None, knows_id, None],
                                            "decode": True})
         assert decoded["triples"][0][1] == KNOWS
+
+    @pytest.mark.parametrize("kind", ["spo", "sp?", "s??", "?po", "?p?",
+                                      "??o", "s?o"])
+    def test_out_of_range_ids_give_an_empty_page(self, base_url, kind):
+        # 2**70 exceeds every int64 level: the vectorised paging paths must
+        # answer "no match", not overflow into a 500.
+        pattern = [2**70 if c != "?" else None for c in kind]
+        status, body = _post(base_url, {"pattern": pattern, "limit": 5,
+                                        "offset": 1})
+        assert status == 200
+        assert body["triples"] == []
+        assert body["has_more"] is False
 
     def test_batch_mixes_successes_and_errors(self, base_url):
         status, body = _post(base_url, {"batch": [
